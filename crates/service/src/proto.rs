@@ -13,8 +13,23 @@
 //! (`"{scenario name}/{zone name}"`) or by its content-hash alias
 //! (`"{content_hash}/{zone name}"`). Responses echo the tenant and carry
 //! one [`PlanReply`] per requested load; service-level failures (unknown
-//! tenant, shed by backpressure, malformed request) set `ok = false` with
-//! a human-readable `error` and no results.
+//! tenant, shed by backpressure, malformed request or a line that is not
+//! UTF-8) set `ok = false` with a human-readable `error` and no results.
+//!
+//! A plan's `on` set travels **run-length encoded, in the engine's order**:
+//! each element is either one machine index or a half-open pair
+//! `[start, end]` standing for `start, start+1, …, end-1`. Every ascending
+//! stretch of four or more consecutive indices is written as a pair (four
+//! is the shortest run whose pair is never longer than the plain list):
+//!
+//! ```json
+//! {"tenant":"fleet_10k/hall","ok":true,"error":null,"results":[{"load":5000.0,
+//!  "feasible":true,"plan":{"on":[[4109,4170],[3978,4109],2919,[2049,2085]],"k":229,
+//!  "t":1.25,"relative_power":-310.5},"error":null}]}
+//! ```
+//!
+//! Decoding is lossless for any order, duplicates included, and a plain
+//! list of indices is still a valid `on`.
 //!
 //! The observability plane is in-protocol: `{"cmd": "stats"}` answers one
 //! [`ServiceStatsDoc`] line (schema `coolopt-service-stats-v1` — per-tenant
@@ -34,8 +49,9 @@ use crate::{PlanResult, ServiceError};
 use coolopt_core::Consolidation;
 use coolopt_telemetry as telemetry;
 use coolopt_telemetry::{Agg, RangeQuery};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt::Write as _;
+use std::io::{BufRead, Write};
 
 /// One wire request: a planning submission (a single `load`, a burst of
 /// `loads`, or both — the single load is planned after the burst), or an
@@ -83,20 +99,19 @@ pub struct Request {
     pub limit: Option<usize>,
 }
 
-/// The answer for one requested load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The answer for one requested load. Its (de)serialization is written by
+/// hand so that the plan's `on` set takes the run form of the module docs.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanReply {
     /// The load as requested.
     pub load: f64,
     /// Whether any machine subset can carry the load (`plan` is present
     /// exactly when this is `true`).
     pub feasible: bool,
-    /// The minimum-power consolidation, when feasible.
-    #[serde(default)]
+    /// The minimum-power consolidation, when feasible (may be absent).
     pub plan: Option<Consolidation>,
     /// Engine-level rejection for this load (e.g. negative or non-finite),
-    /// mirroring the sequential error text.
-    #[serde(default)]
+    /// mirroring the sequential error text (may be absent).
     pub error: Option<String>,
 }
 
@@ -122,6 +137,135 @@ impl PlanReply {
                 error: Some(e.to_string()),
             },
         }
+    }
+}
+
+/// Shortest ascending stretch of `on` written as a `[start, end]` pair:
+/// four is the shortest run whose pair is never longer than the plain list.
+const MIN_RUN: usize = 4;
+
+/// One element of the run-length `on` array.
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    /// A single machine index.
+    One(usize),
+    /// The half-open index range `start..end`.
+    Span(usize, usize),
+}
+
+/// Splits `on` into its wire elements, in order: a [`Run::Span`] for every
+/// maximal stretch of [`MIN_RUN`] or more consecutive ascending indices, a
+/// [`Run::One`] for everything else.
+fn runs(on: &[usize]) -> impl Iterator<Item = Run> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let start = *on.get(i)?;
+        let mut len = 1;
+        // `next < usize::MAX` keeps the exclusive end representable.
+        while let Some(&next) = on.get(i + len) {
+            if start.checked_add(len) != Some(next) || next == usize::MAX {
+                break;
+            }
+            len += 1;
+        }
+        if len >= MIN_RUN {
+            i += len;
+            Some(Run::Span(start, start + len))
+        } else {
+            i += 1;
+            Some(Run::One(start))
+        }
+    })
+}
+
+fn plan_to_value(plan: &Consolidation) -> Value {
+    let on = runs(&plan.on)
+        .map(|run| match run {
+            Run::One(i) => i.to_value(),
+            Run::Span(start, end) => Value::Array(vec![start.to_value(), end.to_value()]),
+        })
+        .collect();
+    Value::Object(vec![
+        ("on".to_string(), Value::Array(on)),
+        ("k".to_string(), plan.k.to_value()),
+        ("t".to_string(), plan.t.to_value()),
+        ("relative_power".to_string(), plan.relative_power.to_value()),
+    ])
+}
+
+/// Most machines a decoded `on` may expand to, so that a hostile or
+/// corrupt `[start, end]` pair cannot make a reader allocate without bound.
+const MAX_ON_LEN: usize = 1 << 24;
+
+fn on_from_value(value: &Value) -> Result<Vec<usize>, Error> {
+    let items = value
+        .as_array()
+        .ok_or_else(|| Error::invalid_type("array", value))?;
+    let mut on = Vec::with_capacity(items.len());
+    for item in items {
+        match item {
+            Value::Array(_) => {
+                let (start, end) = <(usize, usize)>::from_value(item)?;
+                if end < start || end - start > MAX_ON_LEN.saturating_sub(on.len()) {
+                    return Err(Error::custom(format!(
+                        "`on` run [{start}, {end}] is reversed or expands past \
+                         {MAX_ON_LEN} machines"
+                    )));
+                }
+                on.extend(start..end);
+            }
+            index => on.push(usize::from_value(index)?),
+        }
+    }
+    Ok(on)
+}
+
+fn required<'a>(fields: &'a [(String, Value)], ty: &str, name: &str) -> Result<&'a Value, Error> {
+    serde::get_field(fields, name).ok_or_else(|| Error::missing_field(ty, name))
+}
+
+fn plan_from_value(value: &Value) -> Result<Consolidation, Error> {
+    let fields = value
+        .as_object()
+        .ok_or_else(|| Error::invalid_type("object", value))?;
+    let field = |name| required(fields, "Consolidation", name);
+    Ok(Consolidation {
+        on: on_from_value(field("on")?)?,
+        k: Deserialize::from_value(field("k")?)?,
+        t: Deserialize::from_value(field("t")?)?,
+        relative_power: Deserialize::from_value(field("relative_power")?)?,
+    })
+}
+
+impl Serialize for PlanReply {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("load".to_string(), self.load.to_value()),
+            ("feasible".to_string(), self.feasible.to_value()),
+            (
+                "plan".to_string(),
+                self.plan.as_ref().map_or(Value::Null, plan_to_value),
+            ),
+            ("error".to_string(), self.error.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for PlanReply {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        let fields = value
+            .as_object()
+            .ok_or_else(|| Error::invalid_type("object", value))?;
+        let optional = |name| serde::get_field(fields, name).unwrap_or(&Value::Null);
+        Ok(PlanReply {
+            load: Deserialize::from_value(required(fields, "PlanReply", "load")?)?,
+            feasible: Deserialize::from_value(required(fields, "PlanReply", "feasible")?)?,
+            plan: match optional("plan") {
+                Value::Null => None,
+                plan => Some(plan_from_value(plan)?),
+            },
+            error: Deserialize::from_value(optional("error"))?,
+        })
     }
 }
 
@@ -264,7 +408,11 @@ impl Reply {
     /// Renders the reply as its one-line JSON wire form.
     pub fn encode(&self) -> String {
         match self {
-            Reply::Plan(response) => serde_json::to_string(response),
+            Reply::Plan(response) => {
+                let mut out = String::with_capacity(128 + 160 * response.results.len());
+                write_response(&mut out, response);
+                return out;
+            }
             Reply::Stats(doc) => serde_json::to_string(doc),
             Reply::Metrics(reply) => serde_json::to_string(reply),
             Reply::Query(reply) => serde_json::to_string(reply),
@@ -290,6 +438,125 @@ impl Reply {
         }
         .expect("wire replies always encode")
     }
+}
+
+/// Appends `response` to `out` as one JSON line (without the newline).
+///
+/// Byte-identical to `serde_json::to_string(response)` — same field
+/// order, string escaping and float printing — but written straight into
+/// `out` instead of through an intermediate value tree.
+fn write_response(out: &mut String, response: &Response) {
+    out.push_str("{\"tenant\":");
+    push_str(out, &response.tenant);
+    out.push_str(",\"ok\":");
+    push_bool(out, response.ok);
+    out.push_str(",\"error\":");
+    push_opt_str(out, response.error.as_deref());
+    out.push_str(",\"results\":[");
+    for (i, reply) in response.results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"load\":");
+        push_f64(out, reply.load);
+        out.push_str(",\"feasible\":");
+        push_bool(out, reply.feasible);
+        out.push_str(",\"plan\":");
+        match &reply.plan {
+            None => out.push_str("null"),
+            Some(plan) => {
+                out.push_str("{\"on\":[");
+                for (j, run) in runs(&plan.on).enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    match run {
+                        Run::One(index) => push_usize(out, index),
+                        Run::Span(start, end) => {
+                            out.push('[');
+                            push_usize(out, start);
+                            out.push(',');
+                            push_usize(out, end);
+                            out.push(']');
+                        }
+                    }
+                }
+                out.push_str("],\"k\":");
+                push_usize(out, plan.k);
+                out.push_str(",\"t\":");
+                push_f64(out, plan.t);
+                out.push_str(",\"relative_power\":");
+                push_f64(out, plan.relative_power);
+                out.push('}');
+            }
+        }
+        out.push_str(",\"error\":");
+        push_opt_str(out, reply.error.as_deref());
+        out.push('}');
+    }
+    out.push_str("]}");
+}
+
+fn push_bool(out: &mut String, value: bool) {
+    out.push_str(if value { "true" } else { "false" });
+}
+
+fn push_usize(out: &mut String, mut value: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// `{:?}` (the shortest round-trip form) for finite values, `null` else.
+fn push_f64(out: &mut String, value: f64) {
+    if value.is_finite() {
+        let _ = write!(out, "{value:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+fn push_opt_str(out: &mut String, value: Option<&str>) {
+    match value {
+        Some(s) => push_str(out, s),
+        None => out.push_str("null"),
+    }
+}
+
+/// A JSON string literal, escaped exactly as the vendored `serde_json`
+/// writer escapes it.
+fn push_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean = 0;
+    for (at, c) in s.char_indices() {
+        let escape = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            c if (c as u32) < 0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[clean..at]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+        }
+        clean = at + c.len_utf8();
+    }
+    out.push_str(&s[clean..]);
+    out.push('"');
 }
 
 /// Serves one request line against `core`, returning the typed reply.
@@ -426,6 +693,49 @@ fn handle_trace(request: &Request) -> TraceReply {
 /// write back (the string form of [`handle_request`]).
 pub fn handle_line(core: &ServiceCore, line: &str) -> String {
     handle_request(core, line).encode()
+}
+
+/// Serves request lines from `reader` against `core` until end of input.
+/// Each reply goes to `writer` with its newline in one `write_all` call
+/// (so a socket sends it as one segment), then `writer` is flushed. Blank
+/// lines are skipped; a line that is not UTF-8 is answered `ok: false`
+/// like any other malformed request, and serving goes on. A failed
+/// write (the peer hung up) ends serving with `Ok`.
+///
+/// # Errors
+///
+/// Returns the first read error.
+pub fn serve_lines(
+    core: &ServiceCore,
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+) -> std::io::Result<()> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        let mut reply = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => handle_line(core, text.trim_end_matches(['\n', '\r'])),
+            Err(_) => Reply::Plan(Response {
+                tenant: String::new(),
+                ok: false,
+                error: Some("malformed request: invalid UTF-8".to_string()),
+                results: Vec::new(),
+            })
+            .encode(),
+        };
+        reply.push('\n');
+        if writer
+            .write_all(reply.as_bytes())
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
+            return Ok(());
+        }
+    }
 }
 
 fn handle_plan(core: &ServiceCore, request: Request) -> Response {

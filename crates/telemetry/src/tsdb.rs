@@ -730,11 +730,13 @@ impl Collector {
         let thread = std::thread::Builder::new()
             .name("coolopt-collector".to_string())
             .spawn(move || loop {
+                // Checks `stop` before sleeping, so a stop signalled before
+                // this thread first waits is not lost for a whole period.
                 let stopped = {
                     let g = thread_shared.stop.lock().expect("collector lock poisoned");
                     let (g, _timeout) = thread_shared
                         .wake
-                        .wait_timeout(g, period)
+                        .wait_timeout_while(g, period, |stop| !*stop)
                         .expect("collector lock poisoned");
                     *g
                 };
