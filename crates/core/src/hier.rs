@@ -32,8 +32,12 @@
 //!    mode, the near-optimal candidates are re-evaluated with exact
 //!    per-machine sums — bit-identical arithmetic to the flat index — so
 //!    identical-machine fleets reproduce the flat answer bit-for-bit. The
-//!    *coreset* mode ([`HierConfig::coreset`]) skips refinement and
-//!    returns the centroid approximation with the same certificate.
+//!    re-evaluation streams: each distinct candidate row sorts its
+//!    centroid order once and walks its members once in ON-set order,
+//!    recording `(Σa, Σb)` as the running count reaches each candidate's
+//!    `k`; only the winner's ON set is ever materialized. The *coreset*
+//!    mode ([`HierConfig::coreset`]) skips refinement and returns the
+//!    centroid approximation with the same certificate.
 //!
 //! # The error bound
 //!
@@ -912,13 +916,14 @@ impl HierIndex {
         sort_cands(&mut cands);
         cands.truncate(REFINE_CAP);
 
+        let mut ord = Vec::with_capacity(self.clusters.len());
         if !self.config.refine {
             // Coreset mode: centroid answer + certificate.
             let top = cands.first().copied().unwrap_or(best);
-            let on = self.materialize(top.row as usize, top.k as usize, &mut HashMap::new());
+            self.row_order_into(top.row as usize, &mut ord);
             return Some((
                 Consolidation {
-                    on,
+                    on: self.materialize(top.row as usize, top.k as usize, &ord),
                     k: top.k as usize,
                     t: top.t_hat,
                     relative_power: top.rel_hat,
@@ -927,38 +932,57 @@ impl HierIndex {
             ));
         }
 
-        // Refined mode: exact sequential sums over the materialized
-        // prefix — the same arithmetic order as the flat index, so exact
-        // clusters reproduce flat answers bit-for-bit.
-        let mut prefixes: HashMap<u32, Vec<usize>> = HashMap::new();
-        let mut winner: Option<(CandHat, Vec<usize>, f64, f64)> = None;
-        for cand in &cands {
-            telemetry::counter("coolopt_hier_refinements_total").inc();
-            let on = self.materialize(cand.row as usize, cand.k as usize, &mut prefixes);
+        // Refined mode: exact sequential sums, streamed. Each distinct
+        // row's prefix is walked once in ON-set order, recording `(Σa, Σb)`
+        // as the running count reaches each of its candidates' sizes —
+        // the same additions in the same order as summing the materialized
+        // ON set, so exact clusters reproduce flat answers bit-for-bit.
+        telemetry::counter("coolopt_hier_refinements_total").add(cands.len() as u64);
+        let mut by_row: [usize; REFINE_CAP] = std::array::from_fn(|ci| ci);
+        let by_row = &mut by_row[..cands.len()];
+        by_row.sort_unstable_by_key(|&ci| (cands[ci].row, cands[ci].k));
+        let mut sums = [(0.0f64, 0.0f64); REFINE_CAP];
+        for group in by_row.chunk_by(|&x, &y| cands[x].row == cands[y].row) {
+            let row = cands[group[0]].row as usize;
+            self.row_order_into(row, &mut ord);
+            let mut pending = group.iter().copied().peekable();
             let (mut sa, mut sb) = (0.0f64, 0.0f64);
-            for &i in &on {
-                sa += self.pairs[i].0;
-                sb += self.pairs[i].1;
+            for (count, &i) in (1u32..).zip(self.prefix_members(row, &ord)) {
+                sa += self.pairs[i as usize].0;
+                sb += self.pairs[i as usize].1;
+                while let Some(ci) = pending.next_if(|&ci| cands[ci].k == count) {
+                    sums[ci] = (sa, sb);
+                }
+                if pending.peek().is_none() {
+                    break;
+                }
             }
+            debug_assert!(pending.peek().is_none(), "candidate beyond its row");
+        }
+        let mut winner: Option<(usize, f64, f64)> = None;
+        for (ci, cand) in cands.iter().enumerate() {
+            let (sa, sb) = sums[ci];
             let t = (sa - load) / sb;
             if t <= 0.0 {
                 continue;
             }
             let rel = terms.relative_power(cand.k as usize, t);
-            let better = match &winner {
+            let better = match winner {
                 None => true,
-                Some((w, _, w_t, w_rel)) => {
-                    improves_exact(w.k as usize, *w_t, *w_rel, cand.k as usize, t, rel)
+                Some((w, w_t, w_rel)) => {
+                    improves_exact(cands[w].k as usize, w_t, w_rel, cand.k as usize, t, rel)
                 }
             };
             if better {
-                winner = Some((*cand, on, t, rel));
+                winner = Some((ci, t, rel));
             }
         }
-        let (cand, on, t, rel) = winner?;
+        let (w, t, rel) = winner?;
+        let cand = cands[w];
+        self.row_order_into(cand.row as usize, &mut ord);
         Some((
             Consolidation {
-                on,
+                on: self.materialize(cand.row as usize, cand.k as usize, &ord),
                 k: cand.k as usize,
                 t,
                 relative_power: rel,
@@ -990,7 +1014,7 @@ impl HierIndex {
             .min(cap);
         let slack0 = terms.rho * (self.eps_a + t0_global * self.eps_b) / self.b_min;
         let order = self.class_scan_order(terms, load);
-        let mut prefixes: HashMap<u32, Vec<usize>> = HashMap::new();
+        let mut ord = Vec::with_capacity(self.clusters.len());
         let mut pruned = 0u64;
         let mut refined = 0u64;
         let mut best: Option<(CandHat, Vec<usize>, f64, f64)> = None;
@@ -1026,6 +1050,7 @@ impl HierIndex {
                 let d = cl.a * r.sum_b0 - cl.b * r.sum_a0 + cl.b * load;
                 let m = cl.members.len() as u32;
                 let mut prev_rel = f64::NEG_INFINITY;
+                let mut ord_ready = false;
                 for j in j_lo..=m {
                     let (a, b_sum) = self.row_ab(r, j as f64);
                     let t_hat = (a - load) / b_sum;
@@ -1039,7 +1064,11 @@ impl HierIndex {
                     let rel_hat = terms.relative_power(k as usize, t_hat);
                     if beats(&best, k as f64, rel_hat - slack0) {
                         refined += 1;
-                        let on = self.materialize(ri as usize, k as usize, &mut prefixes);
+                        if !ord_ready {
+                            self.row_order_into(ri as usize, &mut ord);
+                            ord_ready = true;
+                        }
+                        let on = self.materialize(ri as usize, k as usize, &ord);
                         if let Some(t) = capacity_ratio(model, covers, &on, load) {
                             let rel = terms.relative_power(k as usize, t);
                             let better = match &best {
@@ -1093,28 +1122,31 @@ impl HierIndex {
         ))
     }
 
-    /// The ON set of a row's size-`k` candidate: clusters in centroid
-    /// order at the row's sample time, each cluster's members ascending,
-    /// truncated at `k`. For exact clusters this is exactly the flat
-    /// index's coordinate-descending/index-ascending prefix. Full-prefix
-    /// materializations are cached per row across one query.
-    fn materialize(
-        &self,
-        row: usize,
-        k: usize,
-        cache: &mut HashMap<u32, Vec<usize>>,
-    ) -> Vec<usize> {
+    /// The centroid order at row `row`'s sample time, into a reused
+    /// buffer: its first `c` clusters are the row's prefix.
+    fn row_order_into(&self, row: usize, ord: &mut Vec<usize>) {
         let r = &self.rows[row];
-        let full = cache.entry(row as u32).or_insert_with(|| {
-            let ord = self.centroids.order_at(r.sample);
-            debug_assert_eq!(ord[(r.c - 1) as usize], r.last as usize);
-            let mut on = Vec::with_capacity(r.k_hi as usize);
-            for &cl in ord.iter().take(r.c as usize) {
-                on.extend(self.clusters[cl].members.iter().map(|&m| m as usize));
-            }
-            on
-        });
-        full[..k].to_vec()
+        self.centroids.order_into(r.sample, ord);
+        debug_assert_eq!(ord[(r.c - 1) as usize], r.last as usize);
+    }
+
+    /// The members of row `row`'s full prefix in ON-set order: clusters
+    /// in centroid order (`ord`, from [`Self::row_order_into`]), each
+    /// cluster's members ascending.
+    fn prefix_members<'a>(&'a self, row: usize, ord: &'a [usize]) -> impl Iterator<Item = &'a u32> {
+        ord[..self.rows[row].c as usize]
+            .iter()
+            .flat_map(|&cl| &self.clusters[cl].members)
+    }
+
+    /// The ON set of a row's size-`k` candidate: the first `k` of
+    /// [`Self::prefix_members`], in exactly `k` slots. For exact clusters
+    /// this is exactly the flat index's coordinate-descending/
+    /// index-ascending prefix.
+    fn materialize(&self, row: usize, k: usize, ord: &[usize]) -> Vec<usize> {
+        let mut on = Vec::with_capacity(k);
+        on.extend(self.prefix_members(row, ord).take(k).map(|&m| m as usize));
+        on
     }
 
     /// The paper's Algorithm 2 at cluster resolution: binary search the
@@ -1132,9 +1164,10 @@ impl HierIndex {
         let r = self.rows[ri];
         let m = self.clusters[r.last as usize].members.len() as f64;
         let (a, b) = self.row_ab(&r, m);
-        let on = self.materialize(ri, r.k_hi as usize, &mut HashMap::new());
+        let mut ord = Vec::new();
+        self.row_order_into(ri, &mut ord);
         Some(Consolidation {
-            on,
+            on: self.materialize(ri, r.k_hi as usize, &ord),
             k: r.k_hi as usize,
             t: (a - total_load) / b,
             relative_power: f64::NAN,

@@ -318,3 +318,22 @@ fn invalid_utf8_is_answered_and_serving_goes_on() {
         Some("malformed request: invalid UTF-8")
     );
 }
+
+#[test]
+fn deeply_nested_line_is_refused_and_serving_goes_on() {
+    let core = rack_core();
+    let mut input = "[".repeat(100_000).into_bytes();
+    input.push(b'\n');
+    input.extend_from_slice(b"{\"tenant\":\"testbed_rack20/rack\",\"load\":4.0}\n");
+    let out = serve(&core, &input);
+    let text = String::from_utf8(out.bytes).unwrap();
+    let replies: Vec<Response> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(replies.len(), 2, "{text}");
+    assert!(!replies[0].ok);
+    let error = replies[0].error.as_deref().unwrap_or_default();
+    assert!(error.contains("recursion limit"), "{error}");
+    assert!(replies[1].ok, "{text}");
+}

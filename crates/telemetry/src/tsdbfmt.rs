@@ -178,16 +178,20 @@ pub fn wall_ms() -> i64 {
 
 /// Collapses `points` (ascending timestamps, already range-filtered) into
 /// `query`-aligned buckets. Bucket `i` covers
-/// `[origin + i·step, origin + (i+1)·step)` where `origin` is
-/// `query.start_ms` (or the first point's timestamp when unbounded) and
-/// carries the bucket-start timestamp. A non-positive step returns the
-/// points unchanged.
+/// `[origin + i·step, origin + (i+1)·step)` and carries the bucket-start
+/// timestamp. `origin` is `query.start_ms` when the query has a start;
+/// an unbounded start is step-aligned — the multiple of `step` at or
+/// below the first point — so bucket timestamps are multiples of the
+/// step, as Prometheus range queries report them. A non-positive step
+/// returns the points unchanged.
 pub fn aggregate(points: &[(i64, f64)], query: &RangeQuery) -> Vec<(i64, f64)> {
     let step = query.step_ms;
     if step <= 0 || points.is_empty() {
         return points.to_vec();
     }
-    let origin = query.start_ms.unwrap_or(points[0].0);
+    let origin = query
+        .start_ms
+        .unwrap_or_else(|| points[0].0.div_euclid(step).wrapping_mul(step));
     let mut out: Vec<(i64, f64)> = Vec::new();
     let mut bucket: Option<(i64, f64, f64, f64, f64, u64)> = None; // (idx, min, max, sum, last, n)
     for &(t, v) in points {
@@ -271,14 +275,16 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_start_anchors_on_first_point() {
-        let pts = vec![(100, 1.0), (104, 2.0), (111, 3.0)];
+    fn unbounded_start_anchors_on_the_step_grid() {
+        let pts = vec![(103, 1.0), (104, 2.0), (111, 3.0)];
         let q = RangeQuery {
             step_ms: 10,
             agg: Agg::Mean,
             ..RangeQuery::default()
         };
         assert_eq!(aggregate(&pts, &q), vec![(100, 1.5), (110, 3.0)]);
+        let before_zero = vec![(-7, 1.0), (-1, 3.0), (2, 5.0)];
+        assert_eq!(aggregate(&before_zero, &q), vec![(-10, 2.0), (0, 5.0)]);
     }
 
     #[test]

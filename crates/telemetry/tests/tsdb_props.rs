@@ -56,7 +56,8 @@ fn arb_series(max_len: usize) -> impl Strategy<Value = Vec<(i64, f64)>> {
 }
 
 /// The uncompressed oracle: filter to the window, then bucket exactly as
-/// documented (buckets of `step` ms anchored at `start`, carrying the
+/// documented (buckets of `step` ms anchored at `start`, or at the step
+/// multiple at or below the first sample when unbounded, carrying the
 /// bucket-start timestamp).
 fn oracle(samples: &[(i64, f64)], q: &RangeQuery) -> Vec<(i64, f64)> {
     let start = q.start_ms.unwrap_or(i64::MIN);
@@ -69,7 +70,9 @@ fn oracle(samples: &[(i64, f64)], q: &RangeQuery) -> Vec<(i64, f64)> {
     if q.step_ms <= 0 || in_range.is_empty() {
         return in_range;
     }
-    let origin = q.start_ms.unwrap_or(in_range[0].0);
+    let origin = q
+        .start_ms
+        .unwrap_or(in_range[0].0.div_euclid(q.step_ms) * q.step_ms);
     let mut out: Vec<(i64, Vec<f64>)> = Vec::new();
     for (t, v) in in_range {
         let bucket_t = origin + (t - origin).div_euclid(q.step_ms) * q.step_ms;
