@@ -33,11 +33,13 @@
 //!    per-machine sums — bit-identical arithmetic to the flat index — so
 //!    identical-machine fleets reproduce the flat answer bit-for-bit. The
 //!    re-evaluation streams: each distinct candidate row sorts its
-//!    centroid order once and walks its members once in ON-set order,
-//!    recording `(Σa, Σb)` as the running count reaches each candidate's
-//!    `k`; only the winner's ON set is ever materialized. The *coreset*
-//!    mode ([`HierConfig::coreset`]) skips refinement and returns the
-//!    centroid approximation with the same certificate.
+//!    centroid order once and walks its members once in *walk order*
+//!    (clusters in centroid order, members ascending), recording
+//!    `(Σa, Σb)` as the running count reaches each candidate's `k`; only
+//!    the winner's ON set is ever materialized, re-emitted ascending after
+//!    all arithmetic is done. The *coreset* mode ([`HierConfig::coreset`])
+//!    skips refinement and returns the centroid approximation with the
+//!    same certificate.
 //!
 //! # The error bound
 //!
@@ -71,8 +73,8 @@
 
 use crate::error::SolveError;
 use crate::index::{
-    build_upper_hull, capacity_ratio, insertion_repair, tie_eps, Consolidation, EventGroups,
-    PowerTerms,
+    ascending_from, build_upper_hull, capacity_ratio, insertion_repair, tie_eps, Consolidation,
+    EventGroups, PowerTerms,
 };
 use crate::particles::ParticleSystem;
 use coolopt_model::RoomModel;
@@ -933,10 +935,10 @@ impl HierIndex {
         }
 
         // Refined mode: exact sequential sums, streamed. Each distinct
-        // row's prefix is walked once in ON-set order, recording `(Σa, Σb)`
+        // row's prefix is walked once in walk order, recording `(Σa, Σb)`
         // as the running count reaches each of its candidates' sizes —
-        // the same additions in the same order as summing the materialized
-        // ON set, so exact clusters reproduce flat answers bit-for-bit.
+        // the flat index's prefix order for exact clusters, so they
+        // reproduce flat answers bit-for-bit.
         telemetry::counter("coolopt_hier_refinements_total").add(cands.len() as u64);
         let mut by_row: [usize; REFINE_CAP] = std::array::from_fn(|ci| ci);
         let by_row = &mut by_row[..cands.len()];
@@ -1015,13 +1017,15 @@ impl HierIndex {
         let slack0 = terms.rho * (self.eps_a + t0_global * self.eps_b) / self.b_min;
         let order = self.class_scan_order(terms, load);
         let mut ord = Vec::with_capacity(self.clusters.len());
+        // The candidate's members in walk order: capacity sums run over
+        // them in that order, like the flat capacity path's.
+        let mut walk: Vec<usize> = Vec::new();
         let mut pruned = 0u64;
         let mut refined = 0u64;
-        let mut best: Option<(CandHat, Vec<usize>, f64, f64)> = None;
-        let beats = |best: &Option<(CandHat, Vec<usize>, f64, f64)>, k: f64, bound: f64| match best
-        {
+        let mut best: Option<(CandHat, f64, f64)> = None;
+        let beats = |best: &Option<(CandHat, f64, f64)>, k: f64, bound: f64| match best {
             None => true,
-            Some((w, _, _, w_rel)) => {
+            Some((w, _, w_rel)) => {
                 let eps = tie_eps(*w_rel);
                 bound < w_rel - eps || (bound < w_rel + eps && k <= w.k as f64)
             }
@@ -1068,12 +1072,17 @@ impl HierIndex {
                             self.row_order_into(ri as usize, &mut ord);
                             ord_ready = true;
                         }
-                        let on = self.materialize(ri as usize, k as usize, &ord);
-                        if let Some(t) = capacity_ratio(model, covers, &on, load) {
+                        walk.clear();
+                        walk.extend(
+                            self.prefix_members(ri as usize, &ord)
+                                .take(k as usize)
+                                .map(|&m| m as usize),
+                        );
+                        if let Some(t) = capacity_ratio(model, covers, &walk, load) {
                             let rel = terms.relative_power(k as usize, t);
                             let better = match &best {
                                 None => true,
-                                Some((w, _, w_t, w_rel)) => {
+                                Some((w, w_t, w_rel)) => {
                                     improves_exact(w.k as usize, *w_t, *w_rel, k as usize, t, rel)
                                 }
                             };
@@ -1086,7 +1095,6 @@ impl HierIndex {
                                         t_hat,
                                         rel_hat,
                                     },
-                                    on,
                                     t,
                                     rel,
                                 ));
@@ -1103,7 +1111,7 @@ impl HierIndex {
         }
         telemetry::counter("coolopt_hier_classes_pruned_total").add(pruned);
         telemetry::counter("coolopt_hier_refinements_total").add(refined);
-        let (cand, on, t, rel) = best?;
+        let (cand, t, rel) = best?;
         let declared = match self.ratio_upper_bound(terms, &cand) {
             Some(t_up) => {
                 let slack = terms.rho * (self.eps_a + t_up * self.eps_b) / self.b_min;
@@ -1111,9 +1119,10 @@ impl HierIndex {
             }
             None => f64::INFINITY,
         };
+        self.row_order_into(cand.row as usize, &mut ord);
         Some((
             Consolidation {
-                on,
+                on: self.materialize(cand.row as usize, cand.k as usize, &ord),
                 k: cand.k as usize,
                 t,
                 relative_power: rel,
@@ -1130,7 +1139,7 @@ impl HierIndex {
         debug_assert_eq!(ord[(r.c - 1) as usize], r.last as usize);
     }
 
-    /// The members of row `row`'s full prefix in ON-set order: clusters
+    /// The members of row `row`'s full prefix in walk order: clusters
     /// in centroid order (`ord`, from [`Self::row_order_into`]), each
     /// cluster's members ascending.
     fn prefix_members<'a>(&'a self, row: usize, ord: &'a [usize]) -> impl Iterator<Item = &'a u32> {
@@ -1140,13 +1149,11 @@ impl HierIndex {
     }
 
     /// The ON set of a row's size-`k` candidate: the first `k` of
-    /// [`Self::prefix_members`], in exactly `k` slots. For exact clusters
-    /// this is exactly the flat index's coordinate-descending/
-    /// index-ascending prefix.
+    /// [`Self::prefix_members`], emitted ascending in exactly `k` slots.
+    /// For exact clusters this is the flat index's answer set.
     fn materialize(&self, row: usize, k: usize, ord: &[usize]) -> Vec<usize> {
-        let mut on = Vec::with_capacity(k);
-        on.extend(self.prefix_members(row, ord).take(k).map(|&m| m as usize));
-        on
+        let members = self.prefix_members(row, ord).take(k).map(|&m| m as usize);
+        ascending_from(self.len(), k, members)
     }
 
     /// The paper's Algorithm 2 at cluster resolution: binary search the
@@ -1301,6 +1308,43 @@ mod tests {
             .query_min_power(&terms(), 12.5, None)
             .unwrap()
             .is_none());
+    }
+
+    /// The ascending answer is a re-emission only: the refined `t` is
+    /// still the bitwise walk-order sum of some row's first-`k` prefix, and
+    /// that prefix is the returned set.
+    #[test]
+    fn refined_answers_are_walk_order_prefix_sums_bit_for_bit() {
+        let pairs = jittered_fleet(5, 40, 1e-3);
+        let hier = HierIndex::build(&pairs, HierConfig::auto(&pairs)).unwrap();
+        assert!(!hier.is_exact());
+        let mut ord = Vec::new();
+        for step in 1..20 {
+            let load = pairs.len() as f64 * step as f64 / 20.0;
+            let c = hier.query_min_power(&terms(), load, None).unwrap().unwrap();
+            let k = c.k as u32;
+            let pinned = (0..hier.rows.len()).any(|row| {
+                let r = hier.rows[row];
+                if !(r.k_lo < k && k <= r.k_hi) {
+                    return false;
+                }
+                hier.row_order_into(row, &mut ord);
+                let mut prefix: Vec<usize> = hier
+                    .prefix_members(row, &ord)
+                    .take(c.k)
+                    .map(|&m| m as usize)
+                    .collect();
+                let (sa, sb) = prefix.iter().fold((0.0, 0.0), |(sa, sb), &i| {
+                    (sa + pairs[i].0, sb + pairs[i].1)
+                });
+                prefix.sort_unstable();
+                prefix == c.on && ((sa - load) / sb).to_bits() == c.t.to_bits()
+            });
+            assert!(
+                pinned,
+                "load {load}: no row's walk-order prefix gives {c:?}"
+            );
+        }
     }
 
     #[test]

@@ -211,6 +211,33 @@ pub(crate) fn capacity_ratio(
     Some(sol.t_ac.as_kelvin() / w1)
 }
 
+/// The answer form of an ON set: the `k` distinct `members` (all below
+/// `n`, in any order) re-emitted strictly ascending in `O(k + n/64)` by
+/// marking them in an `n`-bit set and scanning its words low to high.
+/// Both engines call this once per answer, after every sum over the set
+/// has been taken in walk order, so the arithmetic (and with it `k`, `t`
+/// and the power) does not depend on the emitted order.
+pub(crate) fn ascending_from(
+    n: usize,
+    k: usize,
+    members: impl IntoIterator<Item = usize>,
+) -> Vec<usize> {
+    let mut words = vec![0u64; n.div_ceil(64)];
+    for i in members {
+        words[i / 64] |= 1 << (i % 64);
+    }
+    let mut on = Vec::with_capacity(k);
+    for (w, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            on.push(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+    debug_assert_eq!(on.len(), k, "an ON set must be k distinct machines");
+    on
+}
+
 /// Re-sorts `ord` by the particle total order (coordinate descending, index
 /// ascending) with insertion sort: exact — the comparator is total, so the
 /// output is the unique sorted permutation — and `O(n + inversions)`, which
@@ -798,7 +825,7 @@ impl IndexBuilder {
 /// A chosen consolidation: which machines to power on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Consolidation {
-    /// Machines to power on.
+    /// Machines to power on: distinct, ascending.
     pub on: Vec<usize>,
     /// Subset size (`on.len()`).
     pub k: usize,
@@ -1201,7 +1228,7 @@ impl ConsolidationIndex {
             }
             let k = self.statuses.k[row] as usize;
             results[qi] = Some(Consolidation {
-                on: ord[..k].to_vec(),
+                on: ascending_from(n, k, ord[..k].iter().copied()),
                 k,
                 t,
                 relative_power: rel,
@@ -1525,9 +1552,8 @@ impl ConsolidationIndex {
             };
             if better {
                 let order = self.system.order_at(t + 1e-12);
-                let on: Vec<usize> = order[..k].to_vec();
                 best = Some(Consolidation {
-                    on,
+                    on: ascending_from(n, k, order[..k].iter().copied()),
                     k,
                     t,
                     relative_power: rel,
@@ -1584,11 +1610,10 @@ impl ConsolidationIndex {
     /// first interval reproduces it).
     fn materialize(&self, idx: usize, total_load: f64) -> Consolidation {
         let k = self.statuses.k[idx] as usize;
-        let mut on = self.system.order_at(self.statuses.sample[idx]);
-        on.truncate(k);
+        let order = self.system.order_at(self.statuses.sample[idx]);
         let t = (self.statuses.sum_a[idx] - total_load) / self.statuses.sum_b[idx];
         Consolidation {
-            on,
+            on: ascending_from(self.len(), k, order[..k].iter().copied()),
             k,
             t,
             relative_power: f64::NAN, // filled by callers that know the terms
@@ -1596,7 +1621,7 @@ impl ConsolidationIndex {
     }
 
     /// [`materialize`] for the batched path: the ON prefix comes from the
-    /// batch's cache (identical contents, see
+    /// batch's cache (the same set, see
     /// [`ordered_prefix`](ConsolidationIndex::ordered_prefix)).
     ///
     /// [`materialize`]: ConsolidationIndex::materialize
@@ -1607,10 +1632,10 @@ impl ConsolidationIndex {
         rs: &mut BatchScratch,
     ) -> Consolidation {
         let k = self.statuses.k[idx] as usize;
-        let on = self.ordered_prefix(idx, rs).to_vec();
+        let prefix = self.ordered_prefix(idx, rs).iter().copied();
         let t = (self.statuses.sum_a[idx] - total_load) / self.statuses.sum_b[idx];
         Consolidation {
-            on,
+            on: ascending_from(self.len(), k, prefix),
             k,
             t,
             relative_power: f64::NAN, // filled by callers that know the terms

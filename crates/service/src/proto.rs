@@ -16,16 +16,18 @@
 //! tenant, shed by backpressure, malformed request or a line that is not
 //! UTF-8) set `ok = false` with a human-readable `error` and no results.
 //!
-//! A plan's `on` set travels **run-length encoded, in the engine's order**:
-//! each element is either one machine index or a half-open pair
-//! `[start, end]` standing for `start, start+1, …, end-1`. Every ascending
-//! stretch of four or more consecutive indices is written as a pair (four
-//! is the shortest run whose pair is never longer than the plain list):
+//! A plan's `on` set travels **run-length encoded**: each element is
+//! either one machine index or a half-open pair `[start, end]` standing
+//! for `start, start+1, …, end-1`. Every ascending stretch of four or more
+//! consecutive indices is written as a pair (four is the shortest run
+//! whose pair is never longer than the plain list). The engines list `on`
+//! ascending, so a plan's runs are ascending and disjoint:
 //!
 //! ```json
 //! {"tenant":"fleet_10k/hall","ok":true,"error":null,"results":[{"load":5000.0,
-//!  "feasible":true,"plan":{"on":[[4109,4170],[3978,4109],2919,[2049,2085]],"k":229,
-//!  "t":1.25,"relative_power":-310.5},"error":null}]}
+//!  "feasible":true,"plan":{"on":[[1668,2502],[2919,4587],[5004,5421],[6255,7088],
+//!  [7504,7920],[8336,8752],[9584,10000]],"k":5000,"t":6.312693541302276,
+//!  "relative_power":-155447568.26148757},"error":null}]}
 //! ```
 //!
 //! Decoding is lossless for any order, duplicates included, and a plain
@@ -51,7 +53,7 @@ use coolopt_telemetry as telemetry;
 use coolopt_telemetry::{Agg, RangeQuery};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// One wire request: a planning submission (a single `load`, a burst of
 /// `loads`, or both — the single load is planned after the burst), or an
@@ -293,6 +295,16 @@ impl Response {
             tenant: tenant.to_string(),
             ok: false,
             error: Some(error.to_string()),
+            results: Vec::new(),
+        }
+    }
+
+    /// A request line that could not be read as a request.
+    fn malformed(what: impl std::fmt::Display) -> Self {
+        Response {
+            tenant: String::new(),
+            ok: false,
+            error: Some(format!("malformed request: {what}")),
             results: Vec::new(),
         }
     }
@@ -564,14 +576,7 @@ fn push_str(out: &mut String, s: &str) {
 pub fn handle_request(core: &ServiceCore, line: &str) -> Reply {
     let request: Request = match serde_json::from_str(line) {
         Ok(request) => request,
-        Err(e) => {
-            return Reply::Plan(Response {
-                tenant: String::new(),
-                ok: false,
-                error: Some(format!("malformed request: {e}")),
-                results: Vec::new(),
-            })
-        }
+        Err(e) => return Reply::Plan(Response::malformed(e)),
     };
     match request.cmd.as_deref() {
         None | Some("plan") => Reply::Plan(handle_plan(core, request)),
@@ -695,12 +700,19 @@ pub fn handle_line(core: &ServiceCore, line: &str) -> String {
     handle_request(core, line).encode()
 }
 
+/// The longest request line [`serve_lines`] reads, its newline not
+/// counted: about 700 times a 64-load line. A longer line is refused, so a
+/// stream without newlines cannot grow the read buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Serves request lines from `reader` against `core` until end of input.
 /// Each reply goes to `writer` with its newline in one `write_all` call
 /// (so a socket sends it as one segment), then `writer` is flushed. Blank
-/// lines are skipped; a line that is not UTF-8 is answered `ok: false`
-/// like any other malformed request, and serving goes on. A failed
-/// write (the peer hung up) ends serving with `Ok`.
+/// lines are skipped; a line that is not UTF-8 or is longer than
+/// [`MAX_LINE_BYTES`] is answered `ok: false` like any other malformed
+/// request (the rest of an over-long line is skipped without being
+/// stored), and serving goes on. A failed write (the peer hung up) ends serving
+/// with `Ok`.
 ///
 /// # Errors
 ///
@@ -713,19 +725,20 @@ pub fn serve_lines(
     let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(cap).read_until(b'\n', &mut line)? == 0 {
             return Ok(());
         }
-        let mut reply = match std::str::from_utf8(&line) {
-            Ok(text) if text.trim().is_empty() => continue,
-            Ok(text) => handle_line(core, text.trim_end_matches(['\n', '\r'])),
-            Err(_) => Reply::Plan(Response {
-                tenant: String::new(),
-                ok: false,
-                error: Some("malformed request: invalid UTF-8".to_string()),
-                results: Vec::new(),
-            })
-            .encode(),
+        let mut reply = if line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n') {
+            reader.skip_until(b'\n')?;
+            let what = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            Reply::Plan(Response::malformed(what)).encode()
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => handle_line(core, text.trim_end_matches(['\n', '\r'])),
+                Err(_) => Reply::Plan(Response::malformed("invalid UTF-8")).encode(),
+            }
         };
         reply.push('\n');
         if writer

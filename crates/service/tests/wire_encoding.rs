@@ -1,7 +1,8 @@
 //! The plan-reply wire form: the direct writer behind `Reply::encode` is
 //! byte-identical to the hand-written `Serialize` of `PlanReply`, the run
 //! form of `on` decodes losslessly and is never longer than the plain
-//! list, and `serve_lines` answers every line with exactly one write.
+//! list, and `serve_lines` answers every non-blank line — whatever its
+//! bytes — with exactly one write of one JSON reply.
 
 use coolopt_core::Consolidation;
 use coolopt_scenario::{presets, Scenario};
@@ -229,10 +230,10 @@ fn malformed_runs_are_rejected() {
     }
 }
 
-/// A 50 %-load fleet_10k reply fits in 1 KiB and decodes to the engine's
-/// own ON set, element for element.
+/// A 50 %-load fleet_10k reply fits in 384 B (its ascending `on` is a few
+/// runs) and decodes to the engine's own ON set, element for element.
 #[test]
-fn fleet_10k_reply_is_under_a_kibibyte_and_decodes_to_the_engine_answer() {
+fn fleet_10k_reply_is_under_384_bytes_and_decodes_to_the_engine_answer() {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../scenarios/fleet_10k.json"
@@ -242,7 +243,7 @@ fn fleet_10k_reply_is_under_a_kibibyte_and_decodes_to_the_engine_answer() {
     core.register_scenario(&scenario).unwrap();
     let load = 5000.0;
     let line = proto::handle_line(&core, r#"{"tenant":"fleet_10k/hall","load":5000.0}"#);
-    assert!(line.len() + 1 < 1024, "{} B: {line}", line.len() + 1);
+    assert!(line.len() + 1 < 384, "{} B: {line}", line.len() + 1);
     let response: Response = serde_json::from_str(&line).unwrap();
     let served = response.results[0].plan.as_ref().expect("feasible");
     let snapshot = core.get("fleet_10k/hall").unwrap().snapshot().unwrap();
@@ -336,4 +337,125 @@ fn deeply_nested_line_is_refused_and_serving_goes_on() {
     let error = replies[0].error.as_deref().unwrap_or_default();
     assert!(error.contains("recursion limit"), "{error}");
     assert!(replies[1].ok, "{text}");
+}
+
+/// A line longer than the cap — here a valid request padded with 4 MiB of
+/// whitespace, which would otherwise be served — is refused by length,
+/// the rest of it is dropped, and the next line is served.
+#[test]
+fn over_long_line_is_refused_and_serving_goes_on() {
+    let core = rack_core();
+    let mut input = b"{\"tenant\":\"testbed_rack20/rack\",\"load\":2.0".to_vec();
+    input.resize(input.len() + (4 << 20), b' ');
+    input.extend_from_slice(b"}\n{\"tenant\":\"testbed_rack20/rack\",\"load\":4.0}\n");
+    let out = serve(&core, &input);
+    let text = String::from_utf8(out.bytes).unwrap();
+    let replies: Vec<Response> = text
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    assert_eq!(replies.len(), 2, "{text}");
+    assert!(!replies[0].ok);
+    let want = format!(
+        "malformed request: request line exceeds {} bytes",
+        proto::MAX_LINE_BYTES
+    );
+    assert_eq!(replies[0].error.as_deref(), Some(want.as_str()));
+    assert!(replies[1].ok, "{text}");
+}
+
+/// One hostile request line, without its newline.
+fn any_line(rng: &mut TestRng) -> Vec<u8> {
+    const NUMBERS: [&str; 10] = [
+        "1e308",
+        "-1e308",
+        "1e999",
+        "-0",
+        "4.9e-324",
+        "18446744073709551616",
+        "NaN",
+        "0.5",
+        "-1",
+        "1.7976931348623157e308",
+    ];
+    let mut line = match below(rng, 8) {
+        // Bytes of any value, most of them not UTF-8.
+        0 => (0..below(rng, 64)).map(|_| rng.next_u64() as u8).collect(),
+        // Deep (and usually unclosed) nesting.
+        1 => {
+            let open = if below(rng, 2) == 0 { "[" } else { "{\"a\":" };
+            open.repeat(1 + below(rng, 100_000) as usize).into_bytes()
+        }
+        // Extreme, overflowing and non-JSON numbers in a plan request.
+        2 => {
+            let loads: Vec<&str> = (0..1 + below(rng, 6))
+                .map(|_| NUMBERS[below(rng, NUMBERS.len() as u64) as usize])
+                .collect();
+            let digits = "9".repeat(below(rng, 400) as usize);
+            format!(
+                "{{\"tenant\":\"testbed_rack20/rack\",\"loads\":[{}],\"load\":{digits}1}}",
+                loads.join(",")
+            )
+            .into_bytes()
+        }
+        // Past the length cap (rare: each is a mebibyte).
+        3 if below(rng, 4) == 0 => vec![b'{'; proto::MAX_LINE_BYTES + 1 + below(rng, 64) as usize],
+        // A good request ending in CRLF.
+        4 => b"{\"tenant\":\"testbed_rack20/rack\",\"load\":3.0}\r".to_vec(),
+        // Blank lines, which get no reply.
+        5 => [&b""[..], b" ", b"\r", b" \t \r"][below(rng, 4) as usize].to_vec(),
+        // Observability commands, known and unknown.
+        6 => {
+            let cmd = ["stats", "metrics", "query", "trace", "nope", ""][below(rng, 6) as usize];
+            format!("{{\"cmd\":\"{cmd}\",\"limit\":{}}}", below(rng, 10_000)).into_bytes()
+        }
+        // JSON punctuation soup.
+        _ => (0..below(rng, 200))
+            .map(|_| b"{}[]\":,.-+eE0123456789 \\tnulfase\r"[below(rng, 33) as usize])
+            .collect(),
+    };
+    for b in &mut line {
+        if *b == b'\n' {
+            *b = b' ';
+        }
+    }
+    line
+}
+
+/// A few hostile lines in a row.
+struct AnyLines;
+
+impl Strategy for AnyLines {
+    type Value = Vec<Vec<u8>>;
+
+    fn generate(&self, rng: &mut TestRng) -> Vec<Vec<u8>> {
+        (0..1 + below(rng, 8)).map(|_| any_line(rng)).collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn every_non_blank_line_gets_one_json_reply(lines in AnyLines) {
+        let core = rack_core();
+        let mut input = Vec::new();
+        for line in &lines {
+            input.extend_from_slice(line);
+            input.push(b'\n');
+        }
+        input.extend_from_slice(b"{\"tenant\":\"testbed_rack20/rack\",\"load\":4.0}\n");
+        let blank = |l: &[u8]| std::str::from_utf8(l).is_ok_and(|t| t.trim().is_empty());
+        let expected = 1 + lines.iter().filter(|l| !blank(l)).count();
+        let out = serve(&core, &input);
+        let text = String::from_utf8(out.bytes).unwrap();
+        let replies: Vec<&str> = text.lines().collect();
+        prop_assert_eq!(replies.len(), expected, "{text}");
+        prop_assert_eq!(out.writes, expected);
+        for reply in &replies {
+            prop_assert!(serde_json::from_str::<serde::Value>(reply).is_ok(), "{reply}");
+        }
+        let last: Response = serde_json::from_str(replies[expected - 1]).unwrap();
+        prop_assert!(last.ok, "{text}");
+    }
 }
