@@ -11,8 +11,12 @@
 //!
 //! Besides the flat-index rows, the report carries a `hier` section: the
 //! hierarchical clustered index built at n = 10 000 and n = 100 000 on a
-//! 24-class fleet, with the measured approximation error audited against a
-//! windowed Dinkelbach oracle and pinned under the index's own declared
+//! 24-class fleet, and on the shipped `scenarios/fleet_10k.json` and
+//! `scenarios/fleet_100k.json` (pairs and terms from
+//! `coolopt_service::tenant::zone_parts`, the service's own derivation,
+//! so their cluster count is the one `coolopt-serve` builds over), each
+//! with the measured approximation error audited against a windowed
+//! Dinkelbach oracle and pinned under the index's own declared
 //! certificate.
 //!
 //! Progress goes to stderr as structured events (`--json` renders them as
@@ -22,6 +26,8 @@
 
 use coolopt_bench::{clustered_fleet, oracle_min_power, synthetic_model, synthetic_pairs};
 use coolopt_core::{ConsolidationIndex, HierConfig, HierIndex, IndexBuilder, PowerTerms};
+use coolopt_scenario::Scenario;
+use coolopt_service::tenant::zone_parts;
 use coolopt_telemetry::{self as telemetry, SinkMode};
 use serde::Serialize;
 use std::time::Instant;
@@ -35,6 +41,8 @@ const BATCH: usize = 64;
 const HIER_SIZES: [usize; 2] = [10_000, 100_000];
 const HIER_CLASSES: usize = 24;
 const HIER_LOAD_FRACTIONS: [f64; 3] = [0.2, 0.5, 0.8];
+/// The shipped fleet scenarios, relative to the repository root.
+const HIER_SCENARIOS: [&str; 2] = ["scenarios/fleet_10k.json", "scenarios/fleet_100k.json"];
 
 #[derive(Serialize)]
 struct BuildRow {
@@ -55,6 +63,9 @@ struct QueryReport {
 
 #[derive(Serialize)]
 struct HierReportRow {
+    /// The shipped scenario the fleet comes from (`null` for the
+    /// synthetic `clustered_fleet` rows).
+    scenario: Option<String>,
     n: usize,
     classes: usize,
     build_ms: f64,
@@ -107,6 +118,56 @@ fn median_ms<F: FnMut()>(mut f: F) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
     samples[1]
+}
+
+/// Builds the hierarchical index over one fleet (auto tolerances, as the
+/// service does), times the build and the warm query, and audits the
+/// answers at [`HIER_LOAD_FRACTIONS`] of the fleet against the oracle.
+fn hier_row(
+    scenario: Option<String>,
+    classes: usize,
+    pairs: &[(f64, f64)],
+    terms: &PowerTerms,
+) -> HierReportRow {
+    let n = pairs.len();
+    let config = HierConfig::auto(pairs);
+    let build_ms = median_ms(|| {
+        std::hint::black_box(HierIndex::build(pairs, config).expect("valid pairs"));
+    });
+    let hier = HierIndex::build(pairs, config).expect("valid pairs");
+    let loads: Vec<f64> = HIER_LOAD_FRACTIONS.iter().map(|f| f * n as f64).collect();
+    let (mut abs_error, mut abs_bound) = (0.0f64, 0.0f64);
+    for &load in &loads {
+        let (cons, bound) = hier
+            .query_min_power_bounded(terms, load, None)
+            .expect("valid load")
+            .expect("feasible load");
+        let (_, rel_oracle) = oracle_min_power(pairs, terms, load, Some(cons.k))
+            .expect("oracle agrees the load is feasible");
+        abs_error = abs_error.max((cons.relative_power - rel_oracle).max(0.0));
+        abs_bound = abs_bound.max(bound);
+    }
+    // Hulls are warm after the error sweep; time the steady state.
+    let warm_query_us = median_ms(|| {
+        for &load in &loads {
+            std::hint::black_box(hier.query_min_power(terms, load, None).expect("valid load"));
+        }
+    }) * 1e3
+        / loads.len() as f64;
+    HierReportRow {
+        scenario,
+        n,
+        classes,
+        build_ms,
+        clusters: hier.cluster_count(),
+        rows: hier.row_count(),
+        widenings: hier.widenings(),
+        eps_a: hier.eps_a(),
+        eps_b: hier.eps_b(),
+        warm_query_us,
+        abs_error,
+        abs_bound,
+    }
 }
 
 fn main() {
@@ -207,46 +268,17 @@ fn main() {
             rho: 1500.0,
             t_cap: Some(12.0),
         };
-        let config = HierConfig::auto(&pairs);
-        let build_ms = median_ms(|| {
-            std::hint::black_box(HierIndex::build(&pairs, config).expect("valid pairs"));
-        });
-        let hier = HierIndex::build(&pairs, config).expect("valid pairs");
-        let loads: Vec<f64> = HIER_LOAD_FRACTIONS.iter().map(|f| f * n as f64).collect();
-        let (mut abs_error, mut abs_bound) = (0.0f64, 0.0f64);
-        for &load in &loads {
-            let (cons, bound) = hier
-                .query_min_power_bounded(&hier_terms, load, None)
-                .expect("valid load")
-                .expect("feasible load");
-            let (_, rel_oracle) = oracle_min_power(&pairs, &hier_terms, load, Some(cons.k))
-                .expect("oracle agrees the load is feasible");
-            abs_error = abs_error.max((cons.relative_power - rel_oracle).max(0.0));
-            abs_bound = abs_bound.max(bound);
+        hier_rows.push(hier_row(None, HIER_CLASSES, &pairs, &hier_terms));
+    }
+    for path in HIER_SCENARIOS {
+        telemetry::info!("bench", "timing hierarchical index", scenario = path);
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let scenario = Scenario::load(root.join(path)).expect("shipped scenario loads");
+        for zone in zone_parts(&scenario).expect("shipped scenario plans") {
+            let name = format!("{}/{}", scenario.name, zone.zone);
+            let classes = scenario.classes.len();
+            hier_rows.push(hier_row(Some(name), classes, &zone.pairs, &zone.terms));
         }
-        // Hulls are warm after the error sweep; time the steady state.
-        let warm_query_us = median_ms(|| {
-            for &load in &loads {
-                std::hint::black_box(
-                    hier.query_min_power(&hier_terms, load, None)
-                        .expect("valid load"),
-                );
-            }
-        }) * 1e3
-            / loads.len() as f64;
-        hier_rows.push(HierReportRow {
-            n,
-            classes: HIER_CLASSES,
-            build_ms,
-            clusters: hier.cluster_count(),
-            rows: hier.row_count(),
-            widenings: hier.widenings(),
-            eps_a: hier.eps_a(),
-            eps_b: hier.eps_b(),
-            warm_query_us,
-            abs_error,
-            abs_bound,
-        });
     }
 
     let report = Report {

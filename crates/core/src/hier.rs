@@ -76,7 +76,7 @@ use crate::index::{
     ascending_from, build_upper_hull, capacity_ratio, insertion_repair, tie_eps, Consolidation,
     EventGroups, PowerTerms,
 };
-use crate::particles::ParticleSystem;
+use crate::particles::{Event, ParticleSystem};
 use coolopt_model::RoomModel;
 use coolopt_telemetry as telemetry;
 use std::collections::{BTreeMap, HashMap};
@@ -307,6 +307,140 @@ fn cluster_at(pairs: &[(f64, f64)], tol_a: f64, tol_b: f64) -> Vec<Cluster> {
     clusters
 }
 
+/// The running state of [`HierIndex::walk_rows`]: the centroid order,
+/// the order the last emitted rows saw, and lazily extended exclusive
+/// prefix sums over the order.
+struct CentroidWalk<'a> {
+    centroids: &'a ParticleSystem,
+    clusters: &'a [Cluster],
+    /// The centroid order at the current sample.
+    ord: Vec<usize>,
+    /// `ord` as of the last emission (equal to `ord` between groups).
+    prev: Vec<usize>,
+    /// Position of each cluster in `ord`.
+    pos: Vec<usize>,
+    /// `(Σm, Σm·a, Σm·b)` over positions `0..p`, summed left to right;
+    /// valid for `p ≤ valid`.
+    pre: Vec<(u64, f64, f64)>,
+    valid: usize,
+    /// Per-cluster membership balance of the prefix diff (all zero
+    /// between emissions).
+    delta: Vec<i32>,
+    /// Centroid coordinates at the current sample (fallback re-sorts).
+    coords: Vec<f64>,
+    rows: Vec<HierRow>,
+}
+
+impl<'a> CentroidWalk<'a> {
+    fn new(centroids: &'a ParticleSystem, clusters: &'a [Cluster]) -> Self {
+        let ord = centroids.order_at(0.0);
+        let cn = ord.len();
+        let mut pos = vec![0usize; cn];
+        for (p, &cl) in ord.iter().enumerate() {
+            pos[cl] = p;
+        }
+        CentroidWalk {
+            centroids,
+            clusters,
+            prev: ord.clone(),
+            ord,
+            pos,
+            pre: vec![(0, 0.0, 0.0); cn + 1],
+            valid: 0,
+            delta: vec![0; cn],
+            coords: vec![0.0; cn],
+            rows: Vec::new(),
+        }
+    }
+
+    /// Moves the order to the sorted permutation at `sample` across one
+    /// event group, returning the window `[lo, hi]` of changed positions
+    /// (`None` when the group left the order as it was).
+    fn advance(&mut self, events: &[Event], sample: f64) -> Option<(usize, usize)> {
+        if let [Event { p, q, .. }] = *events {
+            let lo = self.pos[p].min(self.pos[q]);
+            if self.pos[p].max(self.pos[q]) == lo + 1 {
+                self.ord.swap(lo, lo + 1);
+                if sorted_at(self.centroids, &self.ord, sample) {
+                    self.pos[self.ord[lo]] = lo;
+                    self.pos[self.ord[lo + 1]] = lo + 1;
+                    return Some((lo, lo + 1));
+                }
+            }
+        }
+        for (i, c) in self.coords.iter_mut().enumerate() {
+            *c = self.centroids.coordinate(i, sample);
+        }
+        insertion_repair(&mut self.ord, &self.coords);
+        let lo = (0..self.ord.len()).find(|&p| self.ord[p] != self.prev[p])?;
+        let hi = (lo..self.ord.len())
+            .rfind(|&p| self.ord[p] != self.prev[p])
+            .expect("lo differs");
+        for p in lo..=hi {
+            self.pos[self.ord[p]] = p;
+        }
+        Some((lo, hi))
+    }
+
+    /// Emits the rows of the changed window `[lo, hi]` (every position
+    /// when `all`): positions outside it keep both their prefix set and
+    /// their boundary cluster.
+    fn emit(&mut self, lo: usize, hi: usize, since: f64, sample: f64, all: bool) {
+        self.valid = self.valid.min(lo);
+        while self.valid < hi {
+            let cl = &self.clusters[self.ord[self.valid]];
+            let (k, a, b) = self.pre[self.valid];
+            let m = cl.members.len() as u64;
+            self.pre[self.valid + 1] = (k + m, a + m as f64 * cl.a, b + m as f64 * cl.b);
+            self.valid += 1;
+        }
+        let mut nonzero = 0usize;
+        for pos in lo..=hi {
+            let (was, last) = (self.prev[pos], self.ord[pos]);
+            for (cl, by) in [(was, 1), (last, -1)] {
+                let before = self.delta[cl];
+                self.delta[cl] += by;
+                if before == 0 {
+                    nonzero += 1;
+                } else if self.delta[cl] == 0 {
+                    nonzero -= 1;
+                }
+            }
+            if all || nonzero != 0 || was != last {
+                let cl = &self.clusters[last];
+                let (k_cum, a_cum, b_cum) = self.pre[pos];
+                let m = cl.members.len() as u64;
+                let mw = m as f64;
+                let (a_full, b_full) = (a_cum + mw * cl.a, b_cum + mw * cl.b);
+                self.rows.push(HierRow {
+                    sample,
+                    c: (pos + 1) as u32,
+                    last: last as u32,
+                    k_lo: k_cum as u32,
+                    k_hi: (k_cum + m) as u32,
+                    sum_a0: a_cum,
+                    sum_b0: b_cum,
+                    lmax: a_full - since * b_full,
+                });
+            }
+        }
+        self.prev[lo..=hi].copy_from_slice(&self.ord[lo..=hi]);
+    }
+}
+
+/// `true` when `ord` is sorted at `t` by the particle total order
+/// (coordinate descending, index ascending) — the order
+/// [`insertion_repair`] and [`ParticleSystem::order_into`] produce.
+fn sorted_at(centroids: &ParticleSystem, ord: &[usize], t: f64) -> bool {
+    let mut x_prev = centroids.coordinate(ord[0], t);
+    ord.windows(2).all(|w| {
+        let x = centroids.coordinate(w[1], t);
+        let in_order = x_prev > x || (x_prev == x && w[0] < w[1]);
+        x_prev = x;
+        in_order
+    })
+}
+
 impl HierIndex {
     /// Clusters the fleet, walks the centroid kinetic system and stores
     /// the `O(C²)` cluster-prefix rows.
@@ -330,7 +464,7 @@ impl HierIndex {
             });
         }
         // Validates the pairs (finite, b > 0) before any clustering.
-        ParticleSystem::new(pairs).map_err(|e| SolveError::DegenerateModel {
+        ParticleSystem::validate(pairs).map_err(|e| SolveError::DegenerateModel {
             what: e.to_string(),
         })?;
         let mut span = telemetry::span("hier_build")
@@ -437,77 +571,28 @@ impl HierIndex {
     /// at positions `(p, p+1)` changes prefix `p+2`'s boundary without
     /// changing its set, so both triggers are necessary), over the shared
     /// [`EventGroups`] sample convention.
+    ///
+    /// The order at each group's sample is the unique sorted permutation
+    /// of the centroid coordinates there (descending, index ascending). A
+    /// lone crossing of adjacent centroids is applied as one swap, which
+    /// one `O(C)` pass then confirms sorted at the sample; anything else
+    /// (simultaneous crossings, non-adjacent or mispredicted pairs) falls
+    /// back to [`insertion_repair`]. Only the changed window of positions
+    /// is diffed and emitted, and the left-to-right prefix sums are
+    /// extended lazily from a watermark, so every row carries the same
+    /// bits as a from-scratch rescan of the whole order.
     fn walk_rows(centroids: &ParticleSystem, clusters: &[Cluster]) -> Vec<HierRow> {
         let cn = clusters.len();
-        let m: Vec<u64> = clusters.iter().map(|c| c.members.len() as u64).collect();
         let groups = EventGroups::new(centroids.events());
-        let mut rows = Vec::new();
-        let mut ord = centroids.order_at(0.0);
-        let emit_walk = |rows: &mut Vec<HierRow>,
-                         ord: &[usize],
-                         prev: Option<&[usize]>,
-                         since: f64,
-                         sample: f64,
-                         delta: &mut [i32]| {
-            let mut nonzero = 0usize;
-            let (mut k_cum, mut a_cum, mut b_cum) = (0u64, 0.0f64, 0.0f64);
-            for pos in 0..cn {
-                let (changed_set, changed_boundary) = match prev {
-                    None => (true, true),
-                    Some(prev) => {
-                        let mut bump = |cl: usize, by: i32| {
-                            let was = delta[cl];
-                            delta[cl] += by;
-                            if was == 0 {
-                                nonzero += 1;
-                            } else if delta[cl] == 0 {
-                                nonzero -= 1;
-                            }
-                        };
-                        bump(prev[pos], 1);
-                        bump(ord[pos], -1);
-                        (nonzero != 0, prev[pos] != ord[pos])
-                    }
-                };
-                let last = ord[pos];
-                if changed_set || changed_boundary {
-                    let mw = m[last] as f64;
-                    let (a_full, b_full) =
-                        (a_cum + mw * clusters[last].a, b_cum + mw * clusters[last].b);
-                    rows.push(HierRow {
-                        sample,
-                        c: (pos + 1) as u32,
-                        last: last as u32,
-                        k_lo: k_cum as u32,
-                        k_hi: (k_cum + m[last]) as u32,
-                        sum_a0: a_cum,
-                        sum_b0: b_cum,
-                        lmax: a_full - since * b_full,
-                    });
-                }
-                k_cum += m[last];
-                a_cum += m[last] as f64 * clusters[last].a;
-                b_cum += m[last] as f64 * clusters[last].b;
-            }
-        };
-        let mut delta = vec![0i32; cn];
-        emit_walk(&mut rows, &ord, None, 0.0, 0.0, &mut delta);
-        let mut prev = ord.clone();
-        let mut coords = vec![0.0f64; cn];
+        let mut walk = CentroidWalk::new(centroids, clusters);
+        walk.emit(0, cn - 1, 0.0, 0.0, true);
         for g in 0..groups.count() {
-            let since = groups.time(g);
             let sample = groups.sample(g);
-            prev.copy_from_slice(&ord);
-            for (i, c) in coords.iter_mut().enumerate() {
-                *c = centroids.coordinate(i, sample);
+            if let Some((lo, hi)) = walk.advance(groups.events_of(g), sample) {
+                walk.emit(lo, hi, groups.time(g), sample, false);
             }
-            insertion_repair(&mut ord, &coords);
-            if ord == prev {
-                continue;
-            }
-            emit_walk(&mut rows, &ord, Some(&prev), since, sample, &mut delta);
         }
-        rows
+        walk.rows
     }
 
     /// Number of machines indexed.
@@ -1290,6 +1375,159 @@ mod tests {
                 (a + jit * (u - 0.5), b + jit * (0.7 * u - 0.35))
             })
             .collect()
+    }
+
+    /// The walk's pin: re-sorts the centroids from scratch at every event
+    /// group and rescans every position, summing each prefix left to
+    /// right.
+    fn reference_rows(centroids: &ParticleSystem, clusters: &[Cluster]) -> Vec<HierRow> {
+        let cn = clusters.len();
+        let groups = EventGroups::new(centroids.events());
+        let mut rows = Vec::new();
+        let mut emit = |ord: &[usize], prev: Option<&[usize]>, since: f64, sample: f64| {
+            let mut delta = vec![0i32; cn];
+            let mut nonzero = 0usize;
+            let (mut k_cum, mut a_cum, mut b_cum) = (0u64, 0.0f64, 0.0f64);
+            for pos in 0..cn {
+                let last = ord[pos];
+                let changed = match prev {
+                    None => true,
+                    Some(prev) => {
+                        for (cl, by) in [(prev[pos], 1), (last, -1)] {
+                            let before = delta[cl];
+                            delta[cl] += by;
+                            if before == 0 {
+                                nonzero += 1;
+                            } else if delta[cl] == 0 {
+                                nonzero -= 1;
+                            }
+                        }
+                        nonzero != 0 || prev[pos] != last
+                    }
+                };
+                let m = clusters[last].members.len() as u64;
+                if changed {
+                    let mw = m as f64;
+                    let (a_full, b_full) =
+                        (a_cum + mw * clusters[last].a, b_cum + mw * clusters[last].b);
+                    rows.push(HierRow {
+                        sample,
+                        c: (pos + 1) as u32,
+                        last: last as u32,
+                        k_lo: k_cum as u32,
+                        k_hi: (k_cum + m) as u32,
+                        sum_a0: a_cum,
+                        sum_b0: b_cum,
+                        lmax: a_full - since * b_full,
+                    });
+                }
+                k_cum += m;
+                a_cum += m as f64 * clusters[last].a;
+                b_cum += m as f64 * clusters[last].b;
+            }
+        };
+        let mut prev = centroids.order_at(0.0);
+        emit(&prev, None, 0.0, 0.0);
+        for g in 0..groups.count() {
+            let ord = centroids.order_at(groups.sample(g));
+            if ord != prev {
+                emit(&ord, Some(&prev), groups.time(g), groups.sample(g));
+                prev = ord;
+            }
+        }
+        rows
+    }
+
+    /// Asserts the walk's rows equal the reference bitwise; returns how
+    /// many there are.
+    fn assert_walk_pinned(pairs: &[(f64, f64)], config: HierConfig, what: &str) -> usize {
+        let hier = HierIndex::build(pairs, config).unwrap();
+        let want = reference_rows(&hier.centroids, &hier.clusters);
+        let bits = |r: &HierRow| {
+            (
+                r.sample.to_bits(),
+                r.c,
+                r.last,
+                r.k_lo,
+                r.k_hi,
+                r.sum_a0.to_bits(),
+                r.sum_b0.to_bits(),
+                r.lmax.to_bits(),
+            )
+        };
+        assert_eq!(hier.rows.len(), want.len(), "{what}: row count");
+        for (i, (got, want)) in hier.rows.iter().zip(&want).enumerate() {
+            assert_eq!(bits(got), bits(want), "{what}: row {i}");
+        }
+        want.len()
+    }
+
+    /// A deterministic uniform draw in `[0, 1)` from a 64-bit state.
+    fn draw(state: &mut u64) -> f64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn windowed_walk_matches_the_full_rescan_bit_for_bit() {
+        // Jittered fleets, every machine its own cluster: free draws
+        // (about half of all pairs cross) ...
+        for (seed, c) in [(1u64, 3usize), (2, 17), (3, 64), (4, 128)] {
+            let mut state = seed;
+            let pairs: Vec<(f64, f64)> = (0..c)
+                .map(|_| (5.0 + 20.0 * draw(&mut state), 0.5 + 3.0 * draw(&mut state)))
+                .collect();
+            assert_walk_pinned(&pairs, HierConfig::exact(), &format!("jittered C={c}"));
+        }
+        // ... and a band of machines that only cross their near
+        // neighbours, up to C = 512.
+        for (seed, c) in [(5u64, 256usize), (6, 512)] {
+            let mut state = seed;
+            let pairs: Vec<(f64, f64)> = (0..c)
+                .map(|i| {
+                    let (u, v) = (draw(&mut state), draw(&mut state));
+                    (
+                        100.0 - 0.1 * i as f64 + 0.8 * u,
+                        1.0 + 0.01 * i as f64 + 0.08 * v,
+                    )
+                })
+                .collect();
+            let rows = assert_walk_pinned(&pairs, HierConfig::exact(), &format!("banded C={c}"));
+            assert!(
+                rows > 3 * c,
+                "banded C={c}: too few crossings ({rows} rows)"
+            );
+        }
+        // Class-jittered fleets clustered by the auto tolerances.
+        let pairs = jittered_fleet(40, 25, 1e-3);
+        assert_walk_pinned(&pairs, HierConfig::auto(&pairs), "class-jittered");
+        // Integer grids: many crossings share one instant.
+        for (na, nb) in [(6usize, 5usize), (12, 9), (20, 16)] {
+            let pairs: Vec<(f64, f64)> = (0..na * nb)
+                .map(|i| ((1 + i % na) as f64, (1 + i / na) as f64))
+                .collect();
+            assert_walk_pinned(&pairs, HierConfig::exact(), &format!("grid {na}x{nb}"));
+        }
+        // Identical-machine fleets.
+        for (classes, per) in [(1usize, 7usize), (3, 4), (9, 11)] {
+            let pairs = identical_fleet(classes, per);
+            assert_walk_pinned(&pairs, HierConfig::exact(), "identical");
+        }
+    }
+
+    /// A lone adjacent crossing is only a prediction of the sorted order:
+    /// here particles 0 and 1 cross at `t = 1`, but at the group's sample
+    /// (`1.25`, halfway to the `2`/`3` crossing at `1.5`) their coordinates
+    /// round to one value near `1e16`, and the index tie-break keeps them
+    /// uncrossed. The walk must notice and keep the sorted order.
+    #[test]
+    fn lone_crossing_that_rounds_to_a_tie_keeps_the_sorted_order() {
+        let pairs = [(1e16 + 2.0, 3.0), (1e16, 1.0), (5.0, 1.0), (6.5, 2.0)];
+        let sys = ParticleSystem::new(&pairs).unwrap();
+        assert_eq!(sys.coordinate(0, 1.25), sys.coordinate(1, 1.25));
+        assert_walk_pinned(&pairs, HierConfig::exact(), "rounded tie");
     }
 
     #[test]

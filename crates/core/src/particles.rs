@@ -61,6 +61,20 @@ impl ParticleSystem {
     /// finite, or when any speed `b_i` is non-positive (in the paper's
     /// reduction `b_i = α_i/β_i > 0` always).
     pub fn new(pairs: &[(f64, f64)]) -> Result<Self, InvalidParticles> {
+        Self::validate(pairs)?;
+        Ok(ParticleSystem {
+            a: pairs.iter().map(|&(a, _)| a).collect(),
+            b: pairs.iter().map(|&(_, b)| b).collect(),
+        })
+    }
+
+    /// The checks of [`ParticleSystem::new`], in place: lets a builder
+    /// reject bad pairs without copying them into a system it never uses.
+    ///
+    /// # Errors
+    ///
+    /// As [`ParticleSystem::new`].
+    pub(crate) fn validate(pairs: &[(f64, f64)]) -> Result<(), InvalidParticles> {
         if pairs.is_empty() {
             return Err(InvalidParticles {
                 what: "no particles".into(),
@@ -78,10 +92,7 @@ impl ParticleSystem {
                 });
             }
         }
-        Ok(ParticleSystem {
-            a: pairs.iter().map(|&(a, _)| a).collect(),
-            b: pairs.iter().map(|&(_, b)| b).collect(),
-        })
+        Ok(())
     }
 
     /// Number of particles.

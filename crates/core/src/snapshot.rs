@@ -36,6 +36,18 @@ enum Engine {
     Hier(HierIndex),
 }
 
+impl Engine {
+    /// The flat index over `pairs` (parallel build with the `parallel`
+    /// feature).
+    fn flat(pairs: &[(f64, f64)]) -> Result<Self, SolveError> {
+        #[cfg(feature = "parallel")]
+        let index = ConsolidationIndex::build_parallel(pairs)?;
+        #[cfg(not(feature = "parallel"))]
+        let index = ConsolidationIndex::build(pairs)?;
+        Ok(Engine::Flat(index))
+    }
+}
+
 /// An immutable consolidation engine: index + query terms + the fingerprint
 /// of the model they were built from.
 #[derive(Debug)]
@@ -66,10 +78,26 @@ impl IndexSnapshot {
     ///
     /// Same conditions as [`IndexSnapshot::for_model`].
     pub fn for_parts(pairs: &[(f64, f64)], terms: PowerTerms) -> Result<Arc<Self>, SolveError> {
-        if pairs.len() > HIER_AUTO_THRESHOLD {
-            return Self::for_parts_hier(pairs, terms, HierConfig::auto(pairs));
-        }
-        Self::for_parts_flat(pairs, terms)
+        Self::auto(pairs, terms, ModelFingerprint::of_parts(pairs, &terms))
+    }
+
+    /// [`IndexSnapshot::for_parts`] with the fingerprint of `pairs` and
+    /// `terms` already taken.
+    fn auto(
+        pairs: &[(f64, f64)],
+        terms: PowerTerms,
+        fingerprint: ModelFingerprint,
+    ) -> Result<Arc<Self>, SolveError> {
+        let engine = if pairs.len() > HIER_AUTO_THRESHOLD {
+            Engine::Hier(HierIndex::build(pairs, HierConfig::auto(pairs))?)
+        } else {
+            Engine::flat(pairs)?
+        };
+        Ok(Arc::new(IndexSnapshot {
+            fingerprint,
+            engine,
+            terms,
+        }))
     }
 
     /// Builds a snapshot on the exact flat index regardless of size.
@@ -81,13 +109,9 @@ impl IndexSnapshot {
         pairs: &[(f64, f64)],
         terms: PowerTerms,
     ) -> Result<Arc<Self>, SolveError> {
-        #[cfg(feature = "parallel")]
-        let index = ConsolidationIndex::build_parallel(pairs)?;
-        #[cfg(not(feature = "parallel"))]
-        let index = ConsolidationIndex::build(pairs)?;
         Ok(Arc::new(IndexSnapshot {
             fingerprint: ModelFingerprint::of_parts(pairs, &terms),
-            engine: Engine::Flat(index),
+            engine: Engine::flat(pairs)?,
             terms,
         }))
     }
@@ -326,6 +350,24 @@ impl SnapshotCell {
         let _ = swap_span.attr("generation", generation).stop();
         Ok(built)
     }
+
+    /// [`SnapshotCell::ensure`] for explicit parts: fingerprints `pairs`
+    /// and `terms` once, for both the published-snapshot check and the
+    /// [`IndexSnapshot::for_parts`] build on a miss.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapshotCell::ensure`].
+    pub fn ensure_parts(
+        &self,
+        pairs: &[(f64, f64)],
+        terms: PowerTerms,
+    ) -> Result<Arc<IndexSnapshot>, SolveError> {
+        let fingerprint = ModelFingerprint::of_parts(pairs, &terms);
+        self.ensure(fingerprint, || {
+            IndexSnapshot::auto(pairs, terms, fingerprint)
+        })
+    }
 }
 
 impl Clone for SnapshotCell {
@@ -362,6 +404,19 @@ mod tests {
             .unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(ConsolidationIndex::build_count(), before + 1);
+    }
+
+    #[test]
+    fn ensure_parts_publishes_the_for_parts_snapshot_once() {
+        let cell = SnapshotCell::new();
+        let first = cell.ensure_parts(&pairs(), terms()).unwrap();
+        let second = cell.ensure_parts(&pairs(), terms()).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(cell.generation(), 1);
+        let reference = IndexSnapshot::for_parts(&pairs(), terms()).unwrap();
+        assert_eq!(first.fingerprint(), reference.fingerprint());
+        assert_eq!(first.engine_name(), reference.engine_name());
+        assert_eq!(first.row_count(), reference.row_count());
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod presets;
 pub mod schema;
 pub mod sha256;
 
-pub use plan::{coupling_matrix, zone_machines, zone_system};
+pub use plan::{coupling_matrix, for_each_zone_machine, zone_machines, zone_system};
 pub use schema::{
     ClassCount, ClassModel, GuardPolicy, JitterSpec, MachineClass, RackOptions, Scenario,
     ScenarioError, SloPolicy, ThermalGradient, WorkloadSpec, ZoneCooling, ZoneSpec,

@@ -25,32 +25,57 @@ use coolopt_units::Watts;
 ///
 /// # Errors
 ///
-/// [`ScenarioError::Invalid`] when a declared coefficient is rejected by the
-/// model constructors (validation should have caught it earlier).
+/// As [`for_each_zone_machine`].
 pub fn zone_machines(
     scenario: &Scenario,
     zone: &ZoneSpec,
 ) -> Result<Vec<HeteroMachine>, ScenarioError> {
-    let n = zone.machine_count();
-    let mut machines = Vec::with_capacity(n);
-    for j in 0..n {
-        let class = scenario
-            .class(zone.class_of_slot(j))
-            .ok_or_else(|| ScenarioError::Invalid(format!("unknown class in {:?}", zone.name)))?;
-        let h = ZoneSpec::relative_height(j, n);
-        let m = &class.model;
-        let g = &zone.thermal_gradient;
-        let thermal = ThermalModel::new(
-            m.alpha - g.alpha_span * h,
-            m.beta,
-            m.gamma_kelvin + g.gamma_span_kelvin * h,
-        )
-        .map_err(|e| ScenarioError::Invalid(format!("slot {j} of {:?}: {e}", zone.name)))?;
-        let power = PowerModel::new(Watts::new(m.w1_watts), Watts::new(m.w2_watts))
-            .map_err(|e| ScenarioError::Invalid(format!("class {:?}: {e}", class.name)))?;
-        machines.push(HeteroMachine { power, thermal });
-    }
+    let mut machines = Vec::with_capacity(zone.machine_count());
+    for_each_zone_machine(scenario, zone, |m| machines.push(m))?;
     Ok(machines)
+}
+
+/// Streams the declared [`HeteroMachine`] of every slot of one zone to
+/// `visit`, in slot order, resolving each [`ClassCount`] run's class once
+/// (so a caller that only needs per-machine sums never builds the vector
+/// [`zone_machines`] returns).
+///
+/// # Errors
+///
+/// [`ScenarioError::Invalid`] when a run names an unknown class or a
+/// declared coefficient is rejected by the model constructors (validation
+/// should have caught either earlier).
+///
+/// [`ClassCount`]: crate::ClassCount
+pub fn for_each_zone_machine(
+    scenario: &Scenario,
+    zone: &ZoneSpec,
+    mut visit: impl FnMut(HeteroMachine),
+) -> Result<(), ScenarioError> {
+    let n = zone.machine_count();
+    let g = &zone.thermal_gradient;
+    let mut j = 0;
+    for run in zone.machines.iter().filter(|run| run.count > 0) {
+        let class = scenario
+            .class(&run.class)
+            .ok_or_else(|| ScenarioError::Invalid(format!("unknown class in {:?}", zone.name)))?;
+        let m = &class.model;
+        let power = PowerModel::new(Watts::new(m.w1_watts), Watts::new(m.w2_watts))
+            .map_err(|e| format!("class {:?}: {e}", class.name));
+        for _ in 0..run.count {
+            let h = ZoneSpec::relative_height(j, n);
+            let thermal = ThermalModel::new(
+                m.alpha - g.alpha_span * h,
+                m.beta,
+                m.gamma_kelvin + g.gamma_span_kelvin * h,
+            )
+            .map_err(|e| ScenarioError::Invalid(format!("slot {j} of {:?}: {e}", zone.name)))?;
+            let power = power.clone().map_err(ScenarioError::Invalid)?;
+            visit(HeteroMachine { power, thermal });
+            j += 1;
+        }
+    }
+    Ok(())
 }
 
 /// The planner's zone-coupling matrix (supply shares shifted by cross-zone

@@ -30,11 +30,14 @@
 use coolopt_scenario::Scenario;
 use coolopt_service::{proto, ServiceCore};
 use coolopt_telemetry as telemetry;
-use std::io::BufReader;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Most TCP connections served at once (one thread each); a connection
+/// beyond it is answered one `ok: false` line and closed.
+const MAX_CONNECTIONS: usize = 256;
 
 fn usage() -> ! {
     eprintln!(
@@ -42,7 +45,8 @@ fn usage() -> ! {
          \x20                    [--collect-every SECS] [--dashboard PATH]\n\
          \n\
          --stdin              serve line-delimited JSON requests from stdin (default)\n\
-         --listen ADDR        serve line-delimited JSON over TCP, one connection per thread\n\
+         --listen ADDR        serve line-delimited JSON over TCP, one connection per thread,\n\
+         \x20                    at most 256 connections at once\n\
          --scenario PATH      register a scenario file at boot (repeatable)\n\
          --stats-every SECS   print a one-line JSON stats snapshot to stderr every SECS seconds\n\
          --collect-every SECS sample telemetry into the time-series store every SECS seconds\n\
@@ -213,32 +217,6 @@ fn serve_tcp(core: &Arc<ServiceCore>, addr: &str) -> ExitCode {
         }
     };
     eprintln!("coolopt-serve: listening on {addr}");
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(stream) => stream,
-            Err(e) => {
-                eprintln!("coolopt-serve: accept: {e}");
-                continue;
-            }
-        };
-        let core = Arc::clone(core);
-        std::thread::spawn(move || {
-            // Replies go out as soon as they are written, not when the
-            // client acknowledges the previous segment.
-            let writer = match stream.set_nodelay(true).and_then(|()| stream.try_clone()) {
-                Ok(writer) => writer,
-                Err(e) => {
-                    let peer = stream
-                        .peer_addr()
-                        .map_or_else(|_| "?".to_string(), |a| a.to_string());
-                    eprintln!("coolopt-serve: {peer}: {e}");
-                    return;
-                }
-            };
-            // A read error is the client's connection failing; it ends
-            // only this connection.
-            let _ = proto::serve_lines(&core, BufReader::new(stream), writer);
-        });
-    }
+    proto::serve_tcp(core, listener, MAX_CONNECTIONS);
     ExitCode::SUCCESS
 }

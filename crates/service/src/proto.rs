@@ -53,7 +53,10 @@ use coolopt_telemetry as telemetry;
 use coolopt_telemetry::{Agg, RangeQuery};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt::Write as _;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One wire request: a planning submission (a single `load`, a burst of
 /// `loads`, or both — the single load is planned after the burst), or an
@@ -748,6 +751,75 @@ pub fn serve_lines(
         {
             return Ok(());
         }
+    }
+}
+
+/// Serves line-delimited requests over TCP: one thread per accepted
+/// connection, each running [`serve_lines`] with `TCP_NODELAY` on, and at
+/// most `max_connections` of them at once. A connection over the cap is
+/// answered one `ok: false` line and closed, so a flood of connections
+/// cannot exhaust the process's threads. Accept errors are reported on
+/// stderr and serving goes on; this returns only if the listener's
+/// accept stream ends.
+pub fn serve_tcp(core: &Arc<ServiceCore>, listener: TcpListener, max_connections: usize) {
+    let open = Arc::new(AtomicUsize::new(0));
+    for stream in listener.incoming() {
+        let mut stream = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                eprintln!("coolopt-serve: accept: {e}");
+                continue;
+            }
+        };
+        if open.fetch_add(1, Ordering::AcqRel) >= max_connections {
+            open.fetch_sub(1, Ordering::AcqRel);
+            let mut reply = Reply::Plan(Response {
+                tenant: String::new(),
+                ok: false,
+                error: Some(format!(
+                    "connection refused: {max_connections} connections already open"
+                )),
+                results: Vec::new(),
+            })
+            .encode();
+            reply.push('\n');
+            let _ = stream.write_all(reply.as_bytes());
+            let _ = stream.shutdown(Shutdown::Write);
+            continue;
+        }
+        let slot = OpenSlot(Arc::clone(&open));
+        let core = Arc::clone(core);
+        let spawned = std::thread::Builder::new().spawn(move || {
+            let _slot = slot;
+            // Replies go out as soon as they are written, not when the
+            // client acknowledges the previous segment.
+            let writer = match stream.set_nodelay(true).and_then(|()| stream.try_clone()) {
+                Ok(writer) => writer,
+                Err(e) => {
+                    let peer = stream
+                        .peer_addr()
+                        .map_or_else(|_| "?".to_string(), |a| a.to_string());
+                    eprintln!("coolopt-serve: {peer}: {e}");
+                    return;
+                }
+            };
+            // A read error is the client's connection failing; it ends
+            // only this connection.
+            let _ = serve_lines(&core, BufReader::new(stream), writer);
+        });
+        if let Err(e) = spawned {
+            eprintln!("coolopt-serve: connection thread: {e}");
+        }
+    }
+}
+
+/// One open connection's share of [`serve_tcp`]'s cap, given back when
+/// the connection's thread ends (or was never started).
+struct OpenSlot(Arc<AtomicUsize>);
+
+impl Drop for OpenSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
     }
 }
 

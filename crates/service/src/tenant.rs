@@ -13,8 +13,8 @@ use crate::core::{ServiceConfig, ServiceStats};
 use crate::slo::{SloState, SloVerdict};
 use crate::{PlanResult, ServiceError};
 use coolopt_core::SnapshotCell;
-use coolopt_core::{IndexSnapshot, ModelFingerprint, PowerTerms, SolveError};
-use coolopt_scenario::{zone_machines, Scenario, SloPolicy};
+use coolopt_core::{IndexSnapshot, PowerTerms, SolveError};
+use coolopt_scenario::{for_each_zone_machine, Scenario, SloPolicy};
 use coolopt_telemetry as telemetry;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -64,41 +64,33 @@ pub struct ZoneParts {
 /// same derivation the fleet-scale smoke plans use: pairs from each
 /// machine's `(K_i, α_i/β_i)` at the policy's planning `T_max`, and terms
 /// from the zone means `w̄₂` and `ρ = c_f · w̄₁`, with the optional AC cap
-/// mapped into normalized units as `t_cap = T_ac_cap / w̄₁`.
+/// mapped into normalized units as `t_cap = T_ac_cap / w̄₁`. The machines
+/// are streamed ([`for_each_zone_machine`]), never collected.
 pub fn zone_parts(scenario: &Scenario) -> Result<Vec<ZoneParts>, ServiceError> {
     let t_max = scenario.policy.planning_t_max();
     scenario
         .zones
         .iter()
         .map(|spec| {
-            let machines =
-                zone_machines(scenario, spec).map_err(|e| ServiceError::Scenario(e.to_string()))?;
-            if machines.is_empty() {
+            let n = spec.machine_count();
+            if n == 0 {
                 return Err(ServiceError::Scenario(format!(
                     "zone {:?} declares no machines",
                     spec.name
                 )));
             }
-            let pairs: Vec<(f64, f64)> = machines
-                .iter()
-                .map(|m| {
-                    (
-                        m.thermal.k_coefficient(t_max, &m.power),
-                        m.thermal.alpha_over_beta(),
-                    )
-                })
-                .collect();
-            let n = machines.len() as f64;
-            let mean_w1 = machines
-                .iter()
-                .map(|m| m.power.w1().as_watts())
-                .sum::<f64>()
-                / n;
-            let mean_w2 = machines
-                .iter()
-                .map(|m| m.power.w2().as_watts())
-                .sum::<f64>()
-                / n;
+            let mut pairs = Vec::with_capacity(n);
+            let (mut sum_w1, mut sum_w2) = (0.0, 0.0);
+            for_each_zone_machine(scenario, spec, |m| {
+                pairs.push((
+                    m.thermal.k_coefficient(t_max, &m.power),
+                    m.thermal.alpha_over_beta(),
+                ));
+                sum_w1 += m.power.w1().as_watts();
+                sum_w2 += m.power.w2().as_watts();
+            })
+            .map_err(|e| ServiceError::Scenario(e.to_string()))?;
+            let (mean_w1, mean_w2) = (sum_w1 / n as f64, sum_w2 / n as f64);
             let mut terms =
                 PowerTerms::unbounded(mean_w2, spec.cooling.cf_watts_per_kelvin * mean_w1);
             terms.t_cap = spec.cooling.t_ac_cap.map(|t| t.as_kelvin() / mean_w1);
@@ -241,9 +233,8 @@ impl Tenant {
         pairs: &[(f64, f64)],
         terms: PowerTerms,
     ) -> Result<Arc<IndexSnapshot>, ServiceError> {
-        let fingerprint = ModelFingerprint::of_parts(pairs, &terms);
         self.cell
-            .ensure(fingerprint, || IndexSnapshot::for_parts(pairs, terms))
+            .ensure_parts(pairs, terms)
             .map_err(ServiceError::Solve)
     }
 

@@ -18,13 +18,15 @@
 
 use crate::metrics::Histogram;
 use crate::tracefmt::{Attr, RecordKind, TraceRecord, TraceSnapshot};
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell, UnsafeCell};
+use std::mem::MaybeUninit;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Default flight-recorder capacity (records). Each record is a fixed
-/// ~200 bytes, so the default ring is a few megabytes.
+/// ~200 bytes, so the default ring is a few megabytes — allocated zeroed,
+/// so its pages are only faulted in as records first reach them.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 16_384;
 
 /// Attributes a single record can carry.
@@ -45,21 +47,13 @@ struct RawRecord {
     attrs: RawAttrs,
 }
 
-const EMPTY_RECORD: RawRecord = RawRecord {
-    kind: RecordKind::Instant,
-    name: "",
-    id: 0,
-    parent: 0,
-    thread: 0,
-    start_ns: 0,
-    end_ns: 0,
-    attrs: [None; MAX_SPAN_ATTRS],
-};
-
+/// One ring slot. All-zero bytes are a valid slot: sequence 0 (never
+/// written) and an uninitialized record, which is only ever read after an
+/// even, nonzero sequence has vouched for it.
 struct Slot {
     /// 0 = never written; odd = write in progress; even = published.
     seq: AtomicU64,
-    data: std::cell::UnsafeCell<RawRecord>,
+    data: UnsafeCell<MaybeUninit<RawRecord>>,
 }
 
 /// The lock-free ring buffer of span/event records.
@@ -77,13 +71,10 @@ unsafe impl Sync for FlightRecorder {}
 impl FlightRecorder {
     fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(16);
+        // SAFETY: the all-zero bit pattern is a valid `Slot` (see its docs).
+        let slots = unsafe { Box::<[Slot]>::new_zeroed_slice(capacity).assume_init() };
         FlightRecorder {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    data: std::cell::UnsafeCell::new(EMPTY_RECORD),
-                })
-                .collect(),
+            slots,
             head: AtomicU64::new(0),
             contended_drops: AtomicU64::new(0),
         }
@@ -106,7 +97,7 @@ impl FlightRecorder {
         // SAFETY: the odd claim ticket excludes other writers until the
         // publish store below; readers discard copies whose surrounding
         // sequence reads disagree or are odd.
-        unsafe { *slot.data.get() = record };
+        unsafe { (*slot.data.get()).write(record) };
         slot.seq.store(publish, Ordering::Release);
     }
 
@@ -117,14 +108,18 @@ impl FlightRecorder {
             if s1 == 0 || s1 & 1 == 1 {
                 continue;
             }
-            // SAFETY: the copy is validated by re-reading the sequence; a
-            // concurrent writer flips it odd first, so s1 == s2 (even)
-            // implies the bytes we copied are one published record.
-            let raw = unsafe { *slot.data.get() };
-            let s2 = slot.seq.load(Ordering::Acquire);
+            // SAFETY: copying a `MaybeUninit` asserts nothing about its
+            // bytes, even if a writer tears them.
+            let raw = unsafe { std::ptr::read_volatile(slot.data.get()) };
+            fence(Ordering::Acquire);
+            let s2 = slot.seq.load(Ordering::Relaxed);
             if s1 != s2 {
                 continue;
             }
+            // SAFETY: a concurrent writer flips the sequence odd before it
+            // writes, so an unchanged even, nonzero sequence means the
+            // bytes copied are one published record.
+            let raw = unsafe { raw.assume_init() };
             records.push(TraceRecord {
                 kind: raw.kind,
                 name: raw.name,
@@ -398,6 +393,16 @@ mod tests {
             end_ns: start + 10,
             attrs: [None; MAX_SPAN_ATTRS],
         }
+    }
+
+    #[test]
+    fn fresh_zeroed_ring_snapshots_empty() {
+        let ring = FlightRecorder::with_capacity(DEFAULT_FLIGHT_CAPACITY);
+        let snap = ring.snapshot();
+        assert!(snap.records.is_empty());
+        assert_eq!(snap.dropped, 0);
+        ring.write(raw(1, 0));
+        assert_eq!(ring.snapshot().records.len(), 1);
     }
 
     #[test]

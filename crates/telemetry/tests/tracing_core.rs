@@ -117,3 +117,70 @@ fn attrs_saturate_at_capacity_without_allocation_or_panic() {
         .expect("recorded");
     assert_eq!(rec.attrs.len(), telemetry::MAX_SPAN_ATTRS);
 }
+
+#[test]
+fn flight_ring_starts_empty_keeps_the_newest_and_counts_drops() {
+    let _guard = lock();
+    telemetry::reset_flight_recorder();
+    let snap = telemetry::flight_snapshot();
+    assert!(snap.records.is_empty(), "{} records", snap.records.len());
+    assert_eq!(snap.dropped, 0);
+
+    // No test here sizes the ring, so it has the default capacity.
+    let capacity = telemetry::DEFAULT_FLIGHT_CAPACITY as u64;
+    let k = 5u64;
+    for i in 0..capacity + k {
+        telemetry::trace_instant("ring_fill", &[("i", i.into())]);
+    }
+    let snap = telemetry::flight_snapshot();
+    assert_eq!(snap.records.len() as u64, capacity);
+    assert_eq!(snap.dropped, k);
+    let mut kept: Vec<u64> = snap
+        .records
+        .iter()
+        .map(|r| match r.attrs[..] {
+            [("i", telemetry::Attr::U64(i))] => i,
+            _ => panic!("unexpected record {r:?}"),
+        })
+        .collect();
+    kept.sort_unstable();
+    assert_eq!(kept, (k..capacity + k).collect::<Vec<u64>>());
+}
+
+#[test]
+fn concurrent_writers_and_snapshots_never_see_torn_or_unwritten_records() {
+    const MASK: u64 = 0x5a5a_5a5a_5a5a_5a5a;
+    const WRITERS: u64 = 2;
+    const PER_WRITER: u64 = 20_000;
+    let _guard = lock();
+    telemetry::reset_flight_recorder();
+    let done = std::sync::atomic::AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let done = &done;
+            scope.spawn(move || {
+                for i in 0..PER_WRITER {
+                    let x = w * PER_WRITER + i;
+                    telemetry::trace_instant(
+                        "torn_check",
+                        &[("x", x.into()), ("y", (x ^ MASK).into())],
+                    );
+                }
+                done.fetch_add(1, std::sync::atomic::Ordering::Release);
+            });
+        }
+        let mut snapshots = 0;
+        while done.load(std::sync::atomic::Ordering::Acquire) < WRITERS || snapshots == 0 {
+            for r in telemetry::flight_snapshot().records {
+                assert_eq!(r.name, "torn_check", "unwritten or foreign record {r:?}");
+                match r.attrs[..] {
+                    [("x", telemetry::Attr::U64(x)), ("y", telemetry::Attr::U64(y))] => {
+                        assert_eq!(y, x ^ MASK, "torn record {r:?}")
+                    }
+                    _ => panic!("torn record {r:?}"),
+                }
+            }
+            snapshots += 1;
+        }
+    });
+}
